@@ -161,6 +161,21 @@ class TickSettlement:
             )
 
 
+def materialize(entry) -> TickSettlement:
+    """The settlement behind one settlement-log entry.
+
+    A log entry is either a :class:`TickSettlement` or a lazy
+    ``(source, index)`` reference into a buffered tick record (the
+    columnar tick path), whose ``source.settlement(index)`` builds the
+    settlement on first use and caches it in the record — so every
+    holder of the same reference gets the same object.
+    """
+    if entry.__class__ is TickSettlement:
+        return entry
+    source, index = entry
+    return source.settlement(index)
+
+
 @dataclass(slots=True)
 class AppAccount:
     """Cumulative totals for one application.
@@ -168,6 +183,11 @@ class AppAccount:
     ``finalized`` is set when the application is evicted: the account
     stays in the ledger (so cluster totals keep conserving across
     churn) but refuses further settlements.
+
+    The settlement history is a lazy log: the columnar tick path
+    appends ``(record, index)`` references (see :func:`materialize`)
+    and :attr:`settlements` builds them on first access, so a run whose
+    history is never read never builds a per-tick settlement object.
     """
 
     app_name: str
@@ -180,22 +200,68 @@ class AppAccount:
     curtailed_wh: float = 0.0
     unmet_wh: float = 0.0
     finalized: bool = False
-    settlements: List[TickSettlement] = field(default_factory=list)
+    # Log entries before `_built` are materialized settlements.
+    _log: list = field(default_factory=list, repr=False)
+    _built: int = field(default=0, repr=False)
 
-    def add(self, settlement: TickSettlement) -> None:
+    @property
+    def settlements(self) -> List[TickSettlement]:
+        """Every settlement of the account, oldest first."""
+        log = self._log
+        for k in range(self._built, len(log)):
+            log[k] = materialize(log[k])
+        self._built = len(log)
+        return log
+
+    @property
+    def settlement_count(self) -> int:
+        """How many ticks the account settled, without materializing any."""
+        return len(self._log)
+
+    def accrue(
+        self,
+        served_wh: float,
+        solar_used_wh: float,
+        battery_discharge_wh: float,
+        grid_total_wh: float,
+        carbon_g: float,
+        cost_usd: float,
+        curtailed_wh: float,
+        unmet_wh: float,
+        entry,
+    ) -> None:
+        """Add one tick's figures to the totals and log ``entry``.
+
+        The one accrual routine: :meth:`add` passes a settlement's
+        fields, the columnar replay passes a buffered record's columns
+        and a lazy reference to the row.
+        """
         if self.finalized:
             raise ConfigurationError(
                 f"account {self.app_name!r} is finalized (application evicted)"
             )
-        self.energy_wh += settlement.served_wh
-        self.solar_wh += settlement.solar_used_wh
-        self.battery_wh += settlement.battery_discharge_wh
-        self.grid_wh += settlement.grid_total_wh
-        self.carbon_g += settlement.carbon_g
-        self.cost_usd += settlement.cost_usd
-        self.curtailed_wh += settlement.curtailed_wh
-        self.unmet_wh += settlement.unmet_wh
-        self.settlements.append(settlement)
+        self.energy_wh += served_wh
+        self.solar_wh += solar_used_wh
+        self.battery_wh += battery_discharge_wh
+        self.grid_wh += grid_total_wh
+        self.carbon_g += carbon_g
+        self.cost_usd += cost_usd
+        self.curtailed_wh += curtailed_wh
+        self.unmet_wh += unmet_wh
+        self._log.append(entry)
+
+    def add(self, settlement: TickSettlement) -> None:
+        self.accrue(
+            settlement.served_wh,
+            settlement.solar_used_wh,
+            settlement.battery_discharge_wh,
+            settlement.grid_total_wh,
+            settlement.carbon_g,
+            settlement.cost_usd,
+            settlement.curtailed_wh,
+            settlement.unmet_wh,
+            settlement,
+        )
 
 
 class CarbonLedger:
@@ -231,6 +297,20 @@ class CarbonLedger:
         if app_name not in self._accounts:
             self._accounts[app_name] = AppAccount(app_name)
         return self._accounts[app_name]
+
+    def accounts_for(self, app_names: List[str]) -> List[AppAccount]:
+        """The (auto-created) accounts for ``app_names``, in order.
+
+        Skips the flush hook: this is the lookup the flush itself uses.
+        """
+        accounts = self._accounts
+        out = []
+        for name in app_names:
+            account = accounts.get(name)
+            if account is None:
+                account = accounts[name] = AppAccount(name)
+            out.append(account)
+        return out
 
     @property
     def archived_accounts(self) -> List[AppAccount]:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from time import perf_counter
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -111,6 +112,59 @@ def _callback_arity(callback: TickCallback) -> int:
     return 2 if positional >= 2 else 1
 
 
+class _AppSeries:
+    """One application's ``app.{name}.*`` telemetry series, resolved once.
+
+    Both tick paths write these every settled tick; each attribute is
+    the bound ``Series.append`` of one series (``cost_usd`` is None
+    without a price signal).  The battery series resolve on the first
+    battery write, so an app that never has a battery never gets them.
+    The bundle is keyed by app name and outlives evictions: a
+    re-admitted name continues the same series.
+    """
+
+    __slots__ = (
+        "_db",
+        "_prefix",
+        "power_w",
+        "containers",
+        "carbon_g",
+        "cost_usd",
+        "grid_power_w",
+        "solar_used_wh",
+        "unmet_wh",
+        "carbon_rate_mg_s",
+        "_battery",
+    )
+
+    def __init__(self, db: TimeSeriesDatabase, name: str, has_market: bool):
+        prefix = f"app.{name}."
+        self._db = db
+        self._prefix = prefix
+        handle = db.series_handle
+        self.power_w = handle(prefix + "power_w").append
+        self.containers = handle(prefix + "containers").append
+        self.carbon_g = handle(prefix + "carbon_g").append
+        self.cost_usd = handle(prefix + "cost_usd").append if has_market else None
+        self.grid_power_w = handle(prefix + "grid_power_w").append
+        self.solar_used_wh = handle(prefix + "solar_used_wh").append
+        self.unmet_wh = handle(prefix + "unmet_wh").append
+        self.carbon_rate_mg_s = handle(prefix + "carbon_rate_mg_s").append
+        self._battery = None
+
+    def battery(self) -> Tuple[Callable, Callable, Callable]:
+        """Appends of ``battery_soc``, ``battery_level_wh``, ``battery_power_w``."""
+        if self._battery is None:
+            handle = self._db.series_handle
+            prefix = self._prefix
+            self._battery = (
+                handle(prefix + "battery_soc").append,
+                handle(prefix + "battery_level_wh").append,
+                handle(prefix + "battery_power_w").append,
+            )
+        return self._battery
+
+
 @dataclass(slots=True)
 class _RegisteredApp:
     """Internal bookkeeping for one registered application.
@@ -119,8 +173,7 @@ class _RegisteredApp:
     loop iterates it directly (the tuple *is* the snapshot) instead of
     copying a list every app every tick.  ``solar_event_threshold_w``
     is the app's share-scaled solar-change threshold, hoisted out of the
-    per-tick loop.  ``telemetry`` caches the app's settlement series
-    handles (built lazily on first settle).
+    per-tick loop.
     """
 
     name: str
@@ -132,7 +185,6 @@ class _RegisteredApp:
     state: Optional[EnergyState] = None
     solar_event_threshold_w: float = 0.0
     has_solar_share: bool = False
-    telemetry: Optional[Dict[str, Series]] = None
     # Columnar bookkeeping: the app's persistent array row, its dense
     # index into the current FleetSnapshot (valid while snap_epoch
     # matches the fleet's), and the tick phase its cached lazy view was
@@ -198,7 +250,8 @@ class Ecovisor:
         self._phase_stamp = 0
         self._flushing = False
         self._flush_hooks_installed = False
-        self._flush_series: Dict[str, Series] = {}
+        self._app_series: Dict[str, _AppSeries] = {}
+        self._container_power_series: Dict[str, Series] = {}
         self._container_carbon_series: Dict[str, Series] = {}
         # Control plane v1.1: per-app event journals backing the REST
         # cursor feed, share rebalances staged until the next tick
@@ -346,6 +399,21 @@ class Ecovisor:
             "fleet_capacity_rows",
             "Columnar fleet allocated row capacity.",
             lambda: self._fleet.capacity if self._fleet else 0,
+        )
+        registry.counter_fn(
+            "fleet_flushes_total",
+            "Deferred telemetry/ledger flushes that replayed tick records.",
+            lambda: self._fleet.flushes if self._fleet else 0,
+        )
+        registry.counter_fn(
+            "fleet_flush_records_total",
+            "Buffered tick records replayed by deferred flushes.",
+            lambda: self._fleet.flush_records if self._fleet else 0,
+        )
+        registry.counter_fn(
+            "fleet_flush_seconds_total",
+            "Wall-clock seconds spent replaying buffered tick records.",
+            lambda: self._fleet.flush_seconds if self._fleet else 0.0,
         )
 
     def signal_bus_for(self, name: str) -> SignalBus:
@@ -611,10 +679,6 @@ class Ecovisor:
                 self._config.solar_change_threshold_w * share.solar_fraction
             )
             app.has_solar_share = share.solar_fraction > 0.0
-            # Battery telemetry handles depend on has_battery; rebuild
-            # lazily so a share that gains or drops the battery starts
-            # or stops the battery series at the boundary.
-            app.telemetry = None
             events.append(
                 ShareChangedEvent(
                     time_s=time_s,
@@ -894,7 +958,9 @@ class Ecovisor:
 
         Installed as both stores' flush hook while columnar mode is (or
         has been) on; re-entrant calls (the replay itself touches both
-        stores) are cut off by the ``_flushing`` guard.
+        stores) are cut off by the ``_flushing`` guard.  The flush count,
+        replayed records and replay time feed the ``fleet_flush*``
+        metrics: two clock reads per flush, none per app.
         """
         fleet = self._fleet
         if fleet is None or self._flushing or not fleet.pending:
@@ -902,87 +968,106 @@ class Ecovisor:
         records = fleet.pending
         fleet.pending = []
         self._flushing = True
+        start = perf_counter()
         try:
-            db = self._db
-            ledger = self._ledger
-            handles = self._flush_series
-
-            def series(name: str) -> Series:
-                handle = handles.get(name)
-                if handle is None:
-                    handle = handles[name] = db.series_handle(name)
-                return handle
-
-            for r in records:
-                t = r.time_s
-                duration_s = r.duration_s
-                for cid, p in zip(r.cont_ids, r.cont_powers):
-                    series(f"container.{cid}.power_w").append(t, p)
-                series("cluster.power_w").append(t, r.cluster_power)
-                demand_wh = r.demand_wh.tolist()
-                served = r.served.tolist()
-                unmet = r.unmet.tolist()
-                solar_avail = r.solar_avail.tolist()
-                solar_used = r.solar_used.tolist()
-                s2b = r.s2b.tolist()
-                curtailed = r.curtailed.tolist()
-                battery_wh = r.battery_wh.tolist()
-                grid_load = r.grid_load.tolist()
-                g2b = r.g2b.tolist()
-                carbon_g = r.carbon_g.tolist()
-                cost = r.cost.tolist()
-                last_grid = r.last_grid.tolist()
-                for i, name in enumerate(r.names):
-                    s = r.settlements[i]
-                    if s is None:
-                        # Kernel row: materialize the exact settlement
-                        # the object path would have built (conserving
-                        # by construction, so the validate skip mirrors
-                        # `ledger.record(validate=False)`).
-                        s = TickSettlement(
-                            app_name=name,
-                            time_s=t,
-                            duration_s=duration_s,
-                            carbon_intensity_g_per_kwh=r.carbon,
-                            demand_wh=demand_wh[i],
-                            served_wh=served[i],
-                            unmet_wh=unmet[i],
-                            solar_available_wh=solar_avail[i],
-                            solar_used_wh=solar_used[i],
-                            solar_to_battery_wh=s2b[i],
-                            curtailed_wh=curtailed[i],
-                            battery_discharge_wh=battery_wh[i],
-                            grid_load_wh=grid_load[i],
-                            grid_to_battery_wh=g2b[i],
-                            carbon_g=carbon_g[i],
-                            price_usd_per_kwh=r.price,
-                            cost_usd=cost[i],
-                        )
-                    ledger.account(name).add(s)
-                    app = self._apps.get(name)
-                    if app is not None:
-                        app.ves.note_settlement(s)
-                    prefix = f"app.{name}."
-                    series(prefix + "power_w").append(t, r.demand_w[i])
-                    series(prefix + "containers").append(t, float(r.counts[i]))
-                    series(prefix + "carbon_g").append(t, s.carbon_g)
-                    if r.has_market:
-                        series(prefix + "cost_usd").append(t, s.cost_usd)
-                    series(prefix + "grid_power_w").append(t, last_grid[i])
-                    series(prefix + "solar_used_wh").append(t, s.solar_used_wh)
-                    series(prefix + "unmet_wh").append(t, s.unmet_wh)
-                    series(prefix + "carbon_rate_mg_s").append(
-                        t, s.carbon_rate_mg_per_s
-                    )
-                for i, soc, level, power in r.batt_tel:
-                    prefix = f"app.{r.names[i]}."
-                    series(prefix + "battery_soc").append(t, soc)
-                    series(prefix + "battery_level_wh").append(t, level)
-                    series(prefix + "battery_power_w").append(t, power)
-                for cid, cg in r.cont_carbon:
-                    series(f"container.{cid}.carbon_g").append(t, cg)
+            for record in records:
+                self._replay(record)
         finally:
             self._flushing = False
+            fleet.flushes += 1
+            fleet.flush_records += len(records)
+            fleet.flush_seconds += perf_counter() - start
+
+    def _replay(self, r) -> None:
+        """Replay one tick record by column; no per-app object is built.
+
+        Ledger totals accrue straight from the settlement columns; each
+        row's account log and virtual energy system get one shared lazy
+        ``(record, index)`` entry (materialized on first read, see
+        :func:`~repro.core.accounting.materialize`); telemetry goes
+        through the per-app series bundles.
+        """
+        t = r.time_s
+        for cid, power in zip(r.cont_ids, r.cont_powers):
+            self._container_series(self._container_power_series, cid, "power_w")(
+                t, power
+            )
+        self._db.series_handle("cluster.power_w").append(t, r.cluster_power)
+        names = r.names
+        n = len(names)
+        served = r.served.tolist()
+        solar_used = r.solar_used.tolist()
+        battery_wh = r.battery_wh.tolist()
+        grid_total = (r.grid_load + r.g2b).tolist()
+        carbon_g = r.carbon_g.tolist()
+        cost = r.cost.tolist()
+        curtailed = r.curtailed.tolist()
+        unmet = r.unmet.tolist()
+        last_grid = r.last_grid.tolist()
+        # TickSettlement.carbon_rate_mg_per_s, elementwise.
+        if r.duration_s > 0:
+            rate = (r.carbon_g * 1000.0 / r.duration_s).tolist()
+        else:
+            rate = [0.0] * n
+        demand_w = r.demand_w
+        counts = r.counts
+        apps = r.apps
+        accounts = self._ledger.accounts_for(names)
+        bundles = self._app_series
+        for i in range(n):
+            entry = (r, i)
+            accounts[i].accrue(
+                served[i],
+                solar_used[i],
+                battery_wh[i],
+                grid_total[i],
+                carbon_g[i],
+                cost[i],
+                curtailed[i],
+                unmet[i],
+                entry,
+            )
+            apps[i].ves.note_settlement(entry)
+            series = bundles.get(names[i]) or self._series_for(names[i])
+            series.power_w(t, demand_w[i])
+            series.containers(t, counts[i])
+            series.carbon_g(t, carbon_g[i])
+            if series.cost_usd is not None:
+                series.cost_usd(t, cost[i])
+            series.grid_power_w(t, last_grid[i])
+            series.solar_used_wh(t, solar_used[i])
+            series.unmet_wh(t, unmet[i])
+            series.carbon_rate_mg_s(t, rate[i])
+        for i, soc, level, power in r.batt_tel:
+            soc_append, level_append, power_append = bundles[names[i]].battery()
+            soc_append(t, soc)
+            level_append(t, level)
+            power_append(t, power)
+        for cid, carbon in r.cont_carbon:
+            self._container_series(self._container_carbon_series, cid, "carbon_g")(
+                t, carbon
+            )
+        r.drop_telemetry()
+
+    def _series_for(self, name: str) -> _AppSeries:
+        """The app's telemetry series bundle (resolved on first use)."""
+        series = self._app_series.get(name)
+        if series is None:
+            series = self._app_series[name] = _AppSeries(
+                self._db, name, self._price_signal is not None
+            )
+        return series
+
+    def _container_series(
+        self, cache: Dict[str, Series], container_id: str, metric: str
+    ) -> Callable[[float, float], None]:
+        """Append of ``container.{container_id}.{metric}`` (cached by id)."""
+        series = cache.get(container_id)
+        if series is None:
+            series = cache[container_id] = self._db.series_handle(
+                f"container.{container_id}.{metric}"
+            )
+        return series.append
 
     def _columnar_state(self, app: _RegisteredApp) -> Optional[EnergyState]:
         """The app's lazy row view for the current tick phase (cached)."""
@@ -1286,54 +1371,27 @@ class Ecovisor:
             total_cost_usd=account.cost_usd,
         )
 
-    def _app_telemetry_handles(self, app: _RegisteredApp) -> Dict[str, Series]:
-        """Build (once) the app's settlement series handles."""
-        db = self._db
-        name = app.name
-        handles = {
-            "carbon_g": db.series_handle(f"app.{name}.carbon_g"),
-            "grid_power_w": db.series_handle(f"app.{name}.grid_power_w"),
-            "solar_used_wh": db.series_handle(f"app.{name}.solar_used_wh"),
-            "unmet_wh": db.series_handle(f"app.{name}.unmet_wh"),
-        }
-        if self._price_signal is not None:
-            handles["cost_usd"] = db.series_handle(f"app.{name}.cost_usd")
-        if app.ves.has_battery:
-            handles["battery_soc"] = db.series_handle(f"app.{name}.battery_soc")
-            handles["battery_level_wh"] = db.series_handle(
-                f"app.{name}.battery_level_wh"
-            )
-            handles["battery_power_w"] = db.series_handle(
-                f"app.{name}.battery_power_w"
-            )
-        return handles
-
     def _record_app_telemetry(
         self, app: _RegisteredApp, settlement: TickSettlement, time_s: float
     ) -> None:
         """Persist per-app telemetry from the finalized snapshot."""
-        handles = app.telemetry
-        if handles is None:
-            handles = app.telemetry = self._app_telemetry_handles(app)
+        series = self._series_for(app.name)
         state = app.state
-        handles["carbon_g"].append(time_s, settlement.carbon_g)
-        if self._price_signal is not None:
-            handles["cost_usd"].append(time_s, settlement.cost_usd)
-        handles["grid_power_w"].append(time_s, state.grid_power_w)
-        handles["solar_used_wh"].append(time_s, settlement.solar_used_wh)
-        handles["unmet_wh"].append(time_s, settlement.unmet_wh)
-        self._monitor.record_app_carbon_rate(
-            time_s, app.name, settlement.carbon_rate_mg_per_s
-        )
+        series.carbon_g(time_s, settlement.carbon_g)
+        if series.cost_usd is not None:
+            series.cost_usd(time_s, settlement.cost_usd)
+        series.grid_power_w(time_s, state.grid_power_w)
+        series.solar_used_wh(time_s, settlement.solar_used_wh)
+        series.unmet_wh(time_s, settlement.unmet_wh)
+        series.carbon_rate_mg_s(time_s, settlement.carbon_rate_mg_per_s)
         if state.battery is not None:
             battery = state.battery
-            handles["battery_soc"].append(time_s, battery.soc_fraction)
-            handles["battery_level_wh"].append(time_s, battery.charge_level_wh)
+            soc_append, level_append, power_append = series.battery()
+            soc_append(time_s, battery.soc_fraction)
+            level_append(time_s, battery.charge_level_wh)
             # Signed battery power: positive while charging, negative
             # while discharging (the convention of Figure 9b).
-            handles["battery_power_w"].append(
-                time_s, battery.charge_rate_w - battery.discharge_rate_w
-            )
+            power_append(time_s, battery.charge_rate_w - battery.discharge_rate_w)
 
     def _attribute_to_containers(
         self,
@@ -1355,20 +1413,15 @@ class Ecovisor:
             if total_power_w is not None
             else sum(container_readings.get(c.id, 0.0) for c in containers)
         )
-        carbon_series = self._container_carbon_series
         for container in containers:
             power = container_readings.get(container.id, 0.0)
             fraction = power / total_power if total_power > 1e-12 else 0.0
             energy = settlement.served_wh * fraction
             carbon = settlement.carbon_g * fraction
             container.record_tick(power, energy, carbon)
-            series = carbon_series.get(container.id)
-            if series is None:
-                series = self._db.series_handle(
-                    f"container.{container.id}.carbon_g"
-                )
-                carbon_series[container.id] = series
-            series.append(settlement.time_s, carbon)
+            self._container_series(
+                self._container_carbon_series, container.id, "carbon_g"
+            )(settlement.time_s, carbon)
 
     def _publish_battery_events(self, app: _RegisteredApp, time_s: float) -> None:
         if not app.ves.has_battery:

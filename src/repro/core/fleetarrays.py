@@ -30,7 +30,9 @@ Design rules (pinned by ``tests/integration/test_columnar_parity.py``):
   :class:`~repro.core.state.RowEnergyState` views over a
   :class:`FleetSnapshot`.  Telemetry and ledger writes are buffered as
   :class:`_TickRecord` objects and flushed on first read through the
-  database/ledger flush hooks.
+  database/ledger flush hooks.  The flush replays each record by column
+  and logs lazy references, so a per-app ``TickSettlement`` is built
+  only when a consumer reads the settlement history.
 """
 
 from __future__ import annotations
@@ -404,8 +406,13 @@ class _TickRecord:
     Everything the object path writes eagerly into the time-series
     database and carbon ledger during ``settle`` is parked here instead
     and replayed (in tick order) by ``Ecovisor._flush_pending`` on the
-    first database/ledger read.  Per-app figures stay as the settle
-    kernel's ndarrays; ``tolist`` is deferred to flush time.
+    first database/ledger read.
+
+    The settlement columns (``demand_wh`` .. ``cost``) are read-only
+    arrays that outlive the replay: account logs and the apps' virtual
+    energy systems hold ``(record, index)`` references, and
+    :meth:`settlement` builds a row's :class:`TickSettlement` on first
+    use.  The telemetry-only fields are dropped once replayed.
     """
 
     __slots__ = (
@@ -413,10 +420,7 @@ class _TickRecord:
         "duration_s",
         "carbon",
         "price",
-        "has_market",
         "names",
-        "demand_w",
-        "counts",
         "demand_wh",
         "served",
         "unmet",
@@ -429,14 +433,69 @@ class _TickRecord:
         "g2b",
         "carbon_g",
         "cost",
-        "last_grid",
         "settlements",
+        # Telemetry only (None after the replay).
+        "apps",
+        "demand_w",
+        "counts",
+        "last_grid",
         "batt_tel",
         "cont_ids",
         "cont_powers",
         "cont_carbon",
         "cluster_power",
     )
+
+    #: The settlement columns, in ``TickSettlement`` field order.
+    COLUMNS = (
+        "demand_wh",
+        "served",
+        "unmet",
+        "solar_avail",
+        "solar_used",
+        "s2b",
+        "curtailed",
+        "battery_wh",
+        "grid_load",
+        "g2b",
+        "carbon_g",
+        "cost",
+    )
+
+    def settlement(self, i: int) -> TickSettlement:
+        """Row ``i``'s settlement, built from the columns once and cached.
+
+        The kernel's figures are conserving by construction, so, like
+        ``ledger.record(validate=False)``, the build skips ``validate``.
+        """
+        s = self.settlements[i]
+        if s is None:
+            s = self.settlements[i] = TickSettlement(
+                app_name=self.names[i],
+                time_s=self.time_s,
+                duration_s=self.duration_s,
+                carbon_intensity_g_per_kwh=self.carbon,
+                demand_wh=self.demand_wh.item(i),
+                served_wh=self.served.item(i),
+                unmet_wh=self.unmet.item(i),
+                solar_available_wh=self.solar_avail.item(i),
+                solar_used_wh=self.solar_used.item(i),
+                solar_to_battery_wh=self.s2b.item(i),
+                curtailed_wh=self.curtailed.item(i),
+                battery_discharge_wh=self.battery_wh.item(i),
+                grid_load_wh=self.grid_load.item(i),
+                grid_to_battery_wh=self.g2b.item(i),
+                carbon_g=self.carbon_g.item(i),
+                price_usd_per_kwh=self.price,
+                cost_usd=self.cost.item(i),
+            )
+        return s
+
+    def drop_telemetry(self) -> None:
+        """Release the fields only the replay reads."""
+        self.apps = self.demand_w = self.counts = self.last_grid = None
+        self.batt_tel = self.cont_ids = self.cont_powers = None
+        self.cont_carbon = self.cluster_power = None
 
 
 class FleetArrays:
@@ -477,6 +536,10 @@ class FleetArrays:
         self.grow_count = 0
         self._released_ever: set = set()
         self.pending: List[_TickRecord] = []
+        # Deferred-flush counters, bumped once per flush by the replay.
+        self.flushes = 0
+        self.flush_records = 0
+        self.flush_seconds = 0.0
         self.current_snap: Optional[FleetSnapshot] = None
         self._cc: Optional[_ContainerCache] = None
         # Dense per-app caches, rebuilt by refresh() (insertion order).
@@ -1175,10 +1238,7 @@ class FleetArrays:
         record.duration_s = duration_s
         record.carbon = carbon
         record.price = price
-        record.has_market = eco._price_signal is not None
         record.names = names
-        record.demand_w = demand_list
-        record.counts = counts
         record.demand_wh = demand_wh
         record.served = served
         record.unmet = unmet
@@ -1191,8 +1251,13 @@ class FleetArrays:
         record.g2b = g2b
         record.carbon_g = carbon_g
         record.cost = cost
-        record.last_grid = last_grid
+        for column in _TickRecord.COLUMNS:
+            getattr(record, column).flags.writeable = False
         record.settlements = settlements
+        record.apps = apps
+        record.demand_w = demand_list
+        record.counts = counts
+        record.last_grid = last_grid
         record.batt_tel = batt_tel
         record.cont_ids = cc.ids
         record.cont_powers = powers_list

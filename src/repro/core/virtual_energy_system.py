@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.accounting import TickSettlement
+from repro.core.accounting import TickSettlement, materialize
 from repro.core.config import ShareConfig
 from repro.core.units import carbon_grams, energy_cost_usd, energy_wh, power_w
 from repro.core.virtual_battery import VirtualBattery
@@ -80,7 +80,11 @@ class VirtualEnergySystem:
 
     @property
     def last_settlement(self) -> Optional[TickSettlement]:
-        return self._last_settlement
+        """The most recent settlement (built here if noted lazily)."""
+        settlement = self._last_settlement
+        if settlement is not None and settlement.__class__ is not TickSettlement:
+            settlement = self._last_settlement = materialize(settlement)
+        return settlement
 
     # ------------------------------------------------------------------
     # Per-tick operations (called by the ecovisor)
@@ -101,14 +105,18 @@ class VirtualEnergySystem:
         self._current_solar_w = float(solar_power_w)
         self._last_grid_power_w = float(grid_power_w)
 
-    def note_settlement(self, settlement: TickSettlement) -> None:
+    def note_settlement(self, entry) -> None:
         """Adopt a settlement computed externally (columnar kernel).
 
-        The settlement must describe this system's tick exactly as
-        :meth:`settle` would have — the columnar path guarantees that by
-        replaying the same arithmetic — so only the record is updated.
+        ``entry`` is a settlement-log entry (see
+        :func:`~repro.core.accounting.materialize`): the columnar replay
+        passes the same lazy reference it logs in the app's account, so
+        both resolve to one shared object.  The settlement must describe
+        this system's tick exactly as :meth:`settle` would have — the
+        columnar path guarantees that by replaying the same arithmetic —
+        so only the record is updated.
         """
-        self._last_settlement = settlement
+        self._last_settlement = entry
 
     def set_share(
         self, share: ShareConfig, virtual_battery: Optional[VirtualBattery]

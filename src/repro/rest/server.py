@@ -581,5 +581,6 @@ def _account_to_dict(account: AppAccount) -> Dict[str, Any]:
         "curtailed_wh": account.curtailed_wh,
         "unmet_wh": account.unmet_wh,
         "finalized": account.finalized,
-        "settlements": len(account.settlements),
+        # Counted, not materialized: the log may hold lazy entries.
+        "settlements": account.settlement_count,
     }

@@ -148,10 +148,3 @@ class PowerMonitor:
     def record_app_count(self, time_s: float, count: int) -> None:
         """Persist the registered-application count (churn telemetry)."""
         self._series("cluster.apps").append(time_s, float(count))
-
-    def record_app_carbon_rate(
-        self, time_s: float, app_name: str, rate_mg_per_s: float
-    ) -> None:
-        self._series(f"app.{app_name}.carbon_rate_mg_s").append(
-            time_s, rate_mg_per_s
-        )

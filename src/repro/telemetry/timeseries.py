@@ -29,7 +29,7 @@ class Series:
     re-materializing it per call.
     """
 
-    __slots__ = ("_name", "_times", "_values", "_times_arr", "_values_arr")
+    __slots__ = ("_name", "_times", "_values", "_times_arr", "_values_arr", "_last")
 
     def __init__(self, name: str):
         self._name = name
@@ -37,6 +37,8 @@ class Series:
         self._values: List[float] = []
         self._times_arr: np.ndarray | None = None
         self._values_arr: np.ndarray | None = None
+        # Latest timestamp (the monotonic check's bound).
+        self._last = float("-inf")
 
     @property
     def name(self) -> str:
@@ -46,16 +48,19 @@ class Series:
         return len(self._times)
 
     def append(self, time_s: float, value: float) -> None:
-        times = self._times
-        if times and time_s < times[-1]:
+        time_s = float(time_s)
+        if time_s < self._last:
             raise TraceError(
                 f"series {self._name!r}: non-monotonic append "
-                f"({time_s} after {times[-1]})"
+                f"({time_s} after {self._last})"
             )
-        times.append(float(time_s))
+        self._last = time_s
+        self._times.append(time_s)
         self._values.append(float(value))
-        self._times_arr = None
-        self._values_arr = None
+        if self._times_arr is not None:
+            self._times_arr = None
+        if self._values_arr is not None:
+            self._values_arr = None
 
     def latest(self) -> Tuple[float, float]:
         if not self._times:

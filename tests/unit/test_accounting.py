@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.core.accounting import CarbonLedger, TickSettlement
-from repro.core.errors import EnergyConservationError
+from repro.core.accounting import (
+    AppAccount,
+    CarbonLedger,
+    TickSettlement,
+    materialize,
+)
+from repro.core.errors import ConfigurationError, EnergyConservationError
 
 
 def settlement(
@@ -136,3 +141,79 @@ class TestLedgerValidateFlag:
         assert not hasattr(s, "__dict__")
         with pytest.raises(AttributeError):
             object.__setattr__(s, "not_a_field", 1.0)
+
+
+class _CountingSource:
+    """A stand-in tick record: builds its settlement on request, counted."""
+
+    def __init__(self, built: TickSettlement):
+        self.built = built
+        self.calls = 0
+
+    def settlement(self, index: int) -> TickSettlement:
+        self.calls += 1
+        return self.built
+
+
+def _accrue(account: AppAccount, s: TickSettlement, entry) -> None:
+    account.accrue(
+        s.served_wh,
+        s.solar_used_wh,
+        s.battery_discharge_wh,
+        s.grid_total_wh,
+        s.carbon_g,
+        s.cost_usd,
+        s.curtailed_wh,
+        s.unmet_wh,
+        entry,
+    )
+
+
+class TestLazySettlementLog:
+    def test_accrue_from_columns_matches_add(self):
+        s = settlement(to_battery=1.0, curtailed=0.5, grid_to_battery=0.25)
+        eager = AppAccount("app")
+        eager.add(s)
+        lazy = AppAccount("app")
+        _accrue(lazy, s, (_CountingSource(s), 0))
+        for field in (
+            "energy_wh",
+            "solar_wh",
+            "battery_wh",
+            "grid_wh",
+            "carbon_g",
+            "cost_usd",
+            "curtailed_wh",
+            "unmet_wh",
+        ):
+            assert getattr(lazy, field) == getattr(eager, field)
+
+    def test_count_does_not_materialize(self):
+        source = _CountingSource(settlement())
+        account = AppAccount("app")
+        _accrue(account, source.built, (source, 0))
+        _accrue(account, source.built, (source, 1))
+        assert account.settlement_count == 2
+        assert source.calls == 0
+
+    def test_settlements_materialize_once_in_order(self):
+        first, second = settlement(time_s=0.0), settlement(time_s=60.0)
+        source = _CountingSource(second)
+        account = AppAccount("app")
+        account.add(first)
+        _accrue(account, second, (source, 0))
+        assert account.settlements == [first, second]
+        assert account.settlements[1] is second
+        assert source.calls == 1  # the second read reuses the built entry
+
+    def test_materialize_passes_settlements_through(self):
+        s = settlement()
+        assert materialize(s) is s
+        assert materialize((_CountingSource(s), 3)) is s
+
+    def test_finalized_account_refuses_lazy_entries(self):
+        s = settlement()
+        account = AppAccount("app", finalized=True)
+        with pytest.raises(ConfigurationError):
+            _accrue(account, s, (_CountingSource(s), 0))
+        assert account.settlement_count == 0

@@ -12,18 +12,24 @@ structural invariants of the struct-of-arrays store itself:
   the next tick boundary, and
 - ticks past the primed signal-cache horizon fall back to live
   sampling with identical results (mirroring
-  :mod:`tests.unit.test_tracecache`'s offset-miss rule at fleet level).
+  :mod:`tests.unit.test_tracecache`'s offset-miss rule at fleet level),
+- the deferred flush keeps settlements as lazy references into the
+  retained tick records, which materialize to the object path's
+  settlements and share one object between account and VES.
 """
 
 import numpy as np
+import pytest
 
 from repro.cluster.container import Container, reset_container_id_counter
 from repro.cluster.cop import ContainerOrchestrationPlatform
 from repro.core.config import ClusterConfig, ShareConfig
+from repro.core.errors import ConfigurationError, TraceError
 from repro.core.fleetarrays import (
     INITIAL_CAPACITY,
     FleetArrays,
     _ContainerCache,
+    _TickRecord,
 )
 from repro.sim.fleet import build_fleet
 
@@ -342,3 +348,99 @@ class TestPastHorizonFallback:
                 db_a.series(series).values().tolist()
                 == db_b.series(series).values().tolist()
             ), series
+
+
+def _churned_ledger(batched):
+    """Run, evict one tenant, re-admit its name, run on; the ledger."""
+    fleet = _small_fleet(batched=batched)
+    engine, ecovisor = fleet.engine, fleet.ecovisor
+    engine.run(3)
+    name = ecovisor.app_names()[0]  # stride tenant: holds a battery
+    engine.remove_application(name)
+    engine.run(2)
+    ecovisor.admit_app(
+        name, ShareConfig(solar_fraction=0.02, grid_power_w=float("inf"))
+    )
+    engine.run(3)
+    return ecovisor.ledger
+
+
+class TestLazySettlementLog:
+    def test_account_and_ves_share_the_materialized_settlement(self):
+        fleet = _small_fleet()
+        fleet.engine.run(3)
+        ecovisor = fleet.ecovisor
+        first, second = ecovisor.app_names()[:2]
+        # Either side may materialize first; both see one object.
+        assert (
+            ecovisor.ledger.account(first).settlements[-1]
+            is ecovisor._apps[first].ves.last_settlement
+        )
+        ves_view = ecovisor._apps[second].ves.last_settlement
+        assert ecovisor.ledger.account(second).settlements[-1] is ves_view
+
+    def test_materialized_settlements_equal_object_path(self):
+        columnar = _churned_ledger(batched=True)
+        objects = _churned_ledger(batched=False)
+        archived = columnar.archived_accounts
+        assert len(archived) == 1
+        assert [a.settlements for a in archived] == [
+            a.settlements for a in objects.archived_accounts
+        ]
+        assert columnar.app_names() == objects.app_names()
+        for name in columnar.app_names():
+            assert (
+                columnar.account(name).settlements
+                == objects.account(name).settlements
+            )
+
+    def test_replayed_row_for_finalized_account_raises(self):
+        fleet = _small_fleet()
+        fleet.engine.run(1)
+        ledger = fleet.ecovisor.ledger
+        account = ledger.account(fleet.ecovisor.app_names()[0])
+        fleet.engine.run(1)  # buffered, not yet replayed
+        account.finalized = True
+        with pytest.raises(ConfigurationError, match="finalized"):
+            ledger.total_carbon_g()
+
+    def test_retained_record_keeps_read_only_columns_only(self):
+        fleet = _small_fleet()
+        fleet.engine.run(2)
+        ecovisor = fleet.ecovisor
+        account = ecovisor.ledger.account(ecovisor.app_names()[0])
+        record, index = account._log[-1]
+        assert isinstance(record, _TickRecord)
+        for column in _TickRecord.COLUMNS:
+            array = getattr(record, column)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[index] = 0.0
+        assert record.apps is None
+        assert record.cont_powers is None
+        assert record.batt_tel is None
+
+    def test_non_monotonic_time_reaching_replay_raises(self):
+        fleet = _small_fleet()
+        fleet.engine.run(1)
+        ecovisor = fleet.ecovisor
+        name = ecovisor.app_names()[0]
+        series = ecovisor.database.series_handle(f"app.{name}.power_w")
+        fleet.engine.run(1)  # buffered, not yet replayed
+        series.append(1e12, 0.0)  # a point far past the buffered tick
+        with pytest.raises(TraceError, match="non-monotonic"):
+            ecovisor.ledger.total_energy_wh()
+
+    def test_flush_metrics_count_replayed_records(self):
+        fleet = _small_fleet()
+        metrics = fleet.ecovisor.metrics
+        fleet.engine.run(3)
+        fleet.ecovisor.ledger.total_energy_wh()
+        records = metrics.get("fleet_flush_records_total").fn()
+        flushes = metrics.get("fleet_flushes_total").fn()
+        # Every settled tick is replayed exactly once, in >= 1 flushes.
+        assert records == 3
+        assert 1 <= flushes <= 3
+        assert metrics.get("fleet_flush_seconds_total").fn() > 0.0
+        fleet.ecovisor.ledger.total_energy_wh()  # nothing left to replay
+        assert metrics.get("fleet_flushes_total").fn() == flushes

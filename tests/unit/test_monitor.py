@@ -60,11 +60,6 @@ class TestPlantRecording:
         monitor.record_carbon_intensity(0.0, 250.0)
         assert monitor.database.latest("grid.carbon_g_per_kwh") == 250.0
 
-    def test_app_carbon_rate_series(self, setup):
-        _, monitor = setup
-        monitor.record_app_carbon_rate(0.0, "app", 0.4)
-        assert monitor.database.latest("app.app.carbon_rate_mg_s") == 0.4
-
     def test_cluster_sampling(self, setup):
         platform, monitor = setup
         power = monitor.sample_cluster(0.0)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import ShareConfig
+from repro.core.fleetarrays import _TickRecord
 from repro.market.prices import constant_price_trace
 from repro.rest.router import Router
 from repro.rest.server import API_PREFIX, SSE_ROUTES, EcovisorRestServer
@@ -467,6 +468,21 @@ class TestAdminNamespace:
         assert (
             server.request("GET", f"/v1/apps/b/containers/{cid}/power").status == 404
         )
+
+    def test_delete_counts_settlements_without_materializing(self, monkeypatch):
+        eco = make_ecovisor()
+        eco.columnar = True
+        eco.register_app("a", ShareConfig(solar_fraction=0.5, battery_fraction=0.5))
+        run_ticks(eco, 3)
+        server = EcovisorRestServer(eco)
+
+        def refuse(record, index):
+            raise AssertionError("settlement materialized")
+
+        monkeypatch.setattr(_TickRecord, "settlement", refuse)
+        response = server.request("DELETE", "/v1/admin/apps/a")
+        assert response.ok
+        assert response.body["account"]["settlements"] == 3
 
     def test_readmission_after_eviction_binds_fresh_ves(self, server):
         server.request("DELETE", "/v1/admin/apps/a")
